@@ -48,12 +48,6 @@ class ProactiveDemotion:
         self.demotions = 0
         self.lookups = 0
         self.obs: NullRecorder = NULL_RECORDER
-        #: Memoized ``lba -> (target, score)`` probe results.  Scores only
-        #: change when a discriminator mutates — inserts and evictions
-        #: happen exclusively on the GC path — so the cache is exact: an
-        #: insert invalidates that LBA, an eviction (a whole filter slot
-        #: aging out) clears everything.
-        self._target_cache: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # construction during GC
@@ -61,13 +55,7 @@ class ProactiveDemotion:
     def on_gc_block(self, lba: int, from_group: int, to_group: int) -> None:
         """GC migrated ``lba``; record same-group GC-to-GC migrations."""
         if from_group == to_group and from_group in self.discriminators:
-            disc = self.discriminators[from_group]
-            before = disc.evictions
-            disc.insert(lba)
-            if disc.evictions != before:
-                self._target_cache.clear()
-            else:
-                self._target_cache.pop(lba, None)
+            self.discriminators[from_group].insert(lba)
 
     # ------------------------------------------------------------------
     # lookup on the user-write path
@@ -96,41 +84,11 @@ class ProactiveDemotion:
         """Pure bulk probe: per LBA, the demotion target gid (or ``-1``
         for normal hotness placement) and the winning score.
 
-        No side effects — no lookup/demotion counters, no obs events —
-        so the batched engine can use it to *predict* candidate groups
-        before a chunk is committed; the placement path applies the
-        scalar contract's accounting via :meth:`account_batch`.
-        Tie-breaking matches the scalar strict-``>`` scan (earliest gid
-        in ``gc_group_ids`` wins ties).
-
-        Results are memoized per LBA (exact, not approximate: the cache
-        is invalidated on every discriminator mutation), so repeated
-        probes between GC runs — the engine's candidate prediction plus
-        the placement pass — cost one dict hit each.
+        No side effects — no lookup/demotion counters, no obs events;
+        the placement path applies the scalar contract's accounting via
+        :meth:`account_batch`.  Tie-breaking matches the scalar
+        strict-``>`` scan (earliest gid in ``gc_group_ids`` wins ties).
         """
-        n = int(lbas.shape[0])
-        targets = np.empty(n, dtype=np.int64)
-        scores = np.empty(n, dtype=np.int64)
-        cache = self._target_cache
-        missing: list[int] = []
-        for i, k in enumerate(lbas.tolist()):
-            hit = cache.get(k)
-            if hit is None:
-                missing.append(i)
-            else:
-                targets[i], scores[i] = hit
-        if missing:
-            idx = np.asarray(missing, dtype=np.int64)
-            sub = lbas[idx]
-            t, s = self._compute_targets(sub)
-            targets[idx] = t
-            scores[idx] = s
-            for k, tv, sv in zip(sub.tolist(), t.tolist(), s.tolist()):
-                cache[k] = (tv, sv)
-        return targets, scores
-
-    def _compute_targets(self, lbas: np.ndarray) -> tuple[np.ndarray,
-                                                          np.ndarray]:
         n = int(lbas.shape[0])
         best_score = np.zeros(n, dtype=np.int64)
         best_gid = np.full(n, -1, dtype=np.int64)

@@ -293,24 +293,6 @@ class AdaptPolicy(PlacementPolicy):
         return (np.repeat(np.asarray(rhos, dtype=np.float64), reps),
                 np.repeat(np.asarray(thrs, dtype=np.float64), reps))
 
-    def candidate_user_gids(self, lbas: np.ndarray, ts_us: np.ndarray,
-                            start_seq: int):
-        """Exact candidate prediction for the batched engine.
-
-        Every user block lands either HOT or in its (frozen) demotion
-        alternative: demotion fires deterministically from the cascade
-        scores, which only change during GC — and the engine guarantees
-        no GC runs inside a chunk.  Hot/cold classification may evolve
-        within the chunk, but both outcomes are covered by the pair.
-        """
-        n = int(lbas.shape[0])
-        primary = np.full(n, self.HOT, dtype=np.int64)
-        if self.demotion is None:
-            return primary, np.full(n, self.COLD, dtype=np.int64)
-        t, _ = self.demotion.demotion_targets(lbas)
-        alt = np.where(t >= 0, t, self.COLD)
-        return primary, alt
-
     def _observe_sample(self, lba: int, last_seq: int, now_seq: int,
                         now_us: int) -> None:
         """Feed the sampled pipeline: reuse distance, rho, ghost ladder."""

@@ -5,10 +5,10 @@ Two data sets are collected behind one recorder:
 
 * **Chunk-bound diagnostics** — the batched replay engine reports, per
   chunk, which constraint terminated it (trace end, request/block caps,
-  the GC-safe capacity bound, the deadline-fire reserve, candidate-gid
-  narrowing, the ``"first"``-mode deadline horizon, or a scalar-burst
-  fallback) plus chunk-width histograms.  These describe the *engine*,
-  so they only exist under the batched engine and live in the snapshot's
+  the GC-safe capacity bound, the deadline-fire reserve, the
+  ``"first"``-mode deadline horizon, or a scalar-burst fallback) plus
+  chunk-width histograms.  These describe the *engine*, so they only
+  exist under the batched engine and live in the snapshot's
   ``chunk_bounds`` section.
 * **GC provenance ledger** — the store tags every appended data block
   with its origin (user write vs GC migration) and birth epoch
@@ -54,8 +54,7 @@ CAUSE_GC_CAPACITY = "gc_capacity"
 #: The blocks alone would have fit, but the reserved worst-case
 #: deadline-fire blocks (padding + shadow appends per fire site) did not.
 CAUSE_DEADLINE_RESERVE = "deadline_reserve"
-#: The chunk stopped while the per-block candidate-gid capped bound
-#: (``candidate_user_gids``) was the operative constraint.
+#: Retired (never emitted); kept because perfbench/replaybench.py imports it.
 CAUSE_CANDIDATE = "candidate_narrowing"
 #: ``sla_mode="first"``/zero-window replay: the chunk was bounded by the
 #: earliest armed deadline or the first request's SLA horizon.
@@ -66,7 +65,7 @@ CAUSE_SCALAR_FALLBACK = "scalar_fallback"
 #: Every chunk-termination cause, in reporting order.
 CHUNK_CAUSES: tuple[str, ...] = (
     CAUSE_TRACE_END, CAUSE_MAX_REQUESTS, CAUSE_MAX_BLOCKS,
-    CAUSE_GC_CAPACITY, CAUSE_DEADLINE_RESERVE, CAUSE_CANDIDATE,
+    CAUSE_GC_CAPACITY, CAUSE_DEADLINE_RESERVE,
     CAUSE_DEADLINE_HORIZON, CAUSE_SCALAR_FALLBACK,
 )
 

@@ -67,7 +67,6 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from repro.obs.attribution import (
-    CAUSE_CANDIDATE,
     CAUSE_DEADLINE_HORIZON,
     CAUSE_DEADLINE_RESERVE,
     CAUSE_GC_CAPACITY,
@@ -76,7 +75,6 @@ from repro.obs.attribution import (
     CAUSE_TRACE_END,
 )
 from repro.perf.expand import expand_trace
-from repro.placement.base import PlacementPolicy
 from repro.trace.model import OP_WRITE, Trace
 
 _NO_FIRE = None
@@ -86,14 +84,6 @@ _NO_FIRE = None
 #: long the engine stays scalar when the pool hovers between watermarks
 #: without GC being triggerable.
 _BURST_REQUESTS = 32
-
-#: Maximum SLA windows one multi-group chunk increment may span.  Wider
-#: spans amortize the per-increment probe/placement overhead (and push
-#: batches past the policies' vectorization break-even) at the price of
-#: ``windows x SLA groups x fire_unit`` extra reserved fire blocks in the
-#: feasibility bounds; past a point the reserve eats the provable
-#: capacity and the binary search shrinks spans right back.
-_SPAN_WINDOWS = 8
 
 
 class BatchedReplayEngine:
@@ -147,13 +137,6 @@ class BatchedReplayEngine:
         #: contract): the adversarial capacity bounds quantify over these
         #: only — a group outside the set can never be drained by a chunk.
         self._user_gids = sorted(store.policy.user_placement_gids())
-        #: Whether the policy predicts per-block candidate groups
-        #: (``candidate_user_gids``): lets the chunk bound cap how many
-        #: blocks each group could possibly absorb, instead of assuming
-        #: any block can land anywhere in the placement domain.
-        self._has_candidates = (
-            type(store.policy).candidate_user_gids
-            is not PlacementPolicy.candidate_user_gids)
         #: Chunk-bound attribution sink (NULL_ATTRIBUTION by default).
         #: The chunk builders classify, per chunk, which constraint
         #: terminated it and stash it in ``_chunk_cause``; the replay
@@ -273,20 +256,16 @@ class BatchedReplayEngine:
         """Grow a provably GC-free chunk of requests ``[i, j)`` by placed
         increments; return ``(j, gids)``.
 
-        Increments span up to ``_SPAN_WINDOWS`` SLA windows.  Fires armed
-        by the increment's own (not yet placed) appends are bounded by
-        window counting: under idle-mode timers a group's deadline fires
-        are at least one window apart and the earliest span-armed fire is
-        one window after the span starts, so a span of duration ``d``
-        adds at most ``d // window`` fires per SLA group on top of the
-        placed-block accounting (pre-chunk pending ``sites``, promoted
-        gaps between placed touches, and the trailing gap).  For a
-        sub-window span the extra charge is zero, recovering the exact
-        single-window accounting.  After an increment is placed the
-        per-group counts, last touches, and fire sites are updated from
-        the actual group ids — including gaps *inside* the increment —
-        so the next increment starts from a tight bound instead of a
-        whole-chunk worst case.
+        Each increment spans strictly less than one SLA window, so none of
+        its own appends can become a deadline-fire site *inside* the
+        increment — the chunk's worst-case fire overhead is computable
+        from already-placed blocks alone (pre-chunk pending ``sites``,
+        promoted gaps between placed touches, and the trailing gap),
+        making the pre-placement check exact on overhead and adversarial
+        only on where the increment's blocks land.  After an increment is
+        placed the per-group counts, last touches, and fire sites are
+        updated from the actual group ids, so the next increment starts
+        from a tight bound instead of a whole-chunk worst case.
 
         Returns ``(i, None)`` when not even the first request fits.
         """
@@ -322,7 +301,6 @@ class BatchedReplayEngine:
 
         user_gids = self._user_gids
         nuser = len(user_gids)
-        nsla_user = sum(1 for g in user_gids if is_sla[g])
 
         def cap_parts(t_end: int) -> tuple[int, int]:
             """``(capacity, fire_reserve)`` for additional blocks placed on
@@ -347,9 +325,6 @@ class BatchedReplayEngine:
             allowed = slack - a_user
             if allowed < 0:
                 return -1, 0
-            if nsla_user:
-                # Fires armed by the unplaced span itself (see docstring).
-                trail += nsla_user * ((t_end - ts[j]) // window)
             # Cheapest schedule forcing allowed + 1 allocations: open
             # groups in ascending first-allocation cost (headroom + 1),
             # then whole segments; one block less is safe anywhere.
@@ -369,164 +344,45 @@ class BatchedReplayEngine:
             cap, reserve = cap_parts(t_end)
             return cap - reserve if cap >= 0 else -1
 
-        def feasible_capped(k: int, span_cums, wb_j: int) -> bool:
-            """Candidates-aware feasibility of the span ``[j, k)``.
-
-            ``span_cums[idx][b]`` counts, among the span's first ``b + 1``
-            blocks, those whose candidate set includes ``user_gids[idx]``
-            — an upper bound ``U_g`` on what the placement can push into
-            the group.  Fire padding and shadow appends (up to ``R``
-            blocks) land only in SLA groups, so each SLA group's cap is
-            relaxed by ``R`` and the adversary's block budget is
-            ``x + R``; non-SLA groups are capped by their candidate
-            blocks alone.  The chunk is safe when the
-            cheapest schedule forcing ``allowed + 1`` segment allocations
-            under those per-group caps costs more than that budget —
-            the caps-only relaxation of the true assignment problem, so
-            always conservative.
-            """
-            x = bs[k] - wb_j
-            t_end = ts[k - 1]
-            a_user = 0
-            trail = 0
-            firsts = []
-            for g in user_gids:
-                over = counts[g] - head[g]
-                if over > 0:
-                    a_user += (over + sb - 1) // sb
-                    firsts.append((-over) % sb + 1)
-                else:
-                    firsts.append(1 - over)
-                if is_sla[g] and counts[g] > 0 \
-                        and t_end - last_tb[g] >= window:
-                    trail += 1
-            allowed = slack - a_user
-            if allowed < 0:
-                return False
-            if nsla_user:
-                # Span-armed fires, as in x_max.
-                trail += nsla_user * ((t_end - ts[j]) // window)
-            budget = x + (sites + trail) * fire_unit
-            relax = (sites + trail) * fire_unit
-            kneed = allowed + 1
-            fs = []
-            total_extra = 0
-            for idx in range(nuser):
-                cap_g = span_cums[idx][x - 1] if x > 0 else 0
-                if is_sla[user_gids[idx]]:
-                    cap_g += relax
-                f = firsts[idx]
-                if cap_g < f:
-                    continue  # cannot even force this group's first alloc
-                fs.append(f)
-                total_extra += (cap_g - f) // sb
-            if kneed > len(fs) + total_extra:
-                return True  # kneed allocations are unforceable outright
-            fs.sort()
-            if kneed <= len(fs):
-                cost = sum(fs[:kneed])
-            else:
-                cost = sum(fs) + (kneed - len(fs)) * sb
-            return budget < cost
-
-        probe = store.policy.candidate_user_gids if self._has_candidates \
-            else None
-
         placed: list[np.ndarray] = []
         has_sla = bool(store._sla_groups)
         attr_on = self._attr_on
         cause = None
         j = i
         while j < n and bs[j] - wb_chunk < max_blocks:
-            budget_blocks = max_blocks - (bs[j] - wb_chunk)
             if has_sla:
                 hi = min(bisect_left(ts, ts[j] + window), n)
             else:
                 hi = n
-            hi = self._cap_blocks(j, hi, budget_blocks)
+            hi = self._cap_blocks(j, hi, max_blocks - (bs[j] - wb_chunk))
             if hi <= j:
                 # The next request's blocks alone blow the block budget.
                 cause = CAUSE_MAX_BLOCKS
                 break
             wb_j = bs[j]
-            # Binary search the largest feasible request span.  The cheap
-            # any-placement bound (x_max) is tried first; only when it
-            # cannot cover a span does the engine probe the policy's
-            # per-block candidate groups for the tighter capped bound.
-            span_cums = None
+            # Binary search the largest feasible request span.
             if bs[hi] - wb_j <= x_max(ts[hi - 1]):
                 k = hi
-                if has_sla and hi < n:
-                    # The whole one-window span fits on the cheap bound:
-                    # widen the horizon (capacity permitting) so loose
-                    # regimes amortize the per-increment probe/placement
-                    # overhead instead of stepping window by window.
-                    # Tight regimes never reach this, keeping their
-                    # per-window accounting exact.
-                    wide = min(
-                        bisect_left(ts, ts[j] + _SPAN_WINDOWS * window), n)
-                    wide = self._cap_blocks(j, wide, budget_blocks)
-                    if wide > hi:
-                        if bs[wide] - wb_j <= x_max(ts[wide - 1]):
-                            k = wide
-                        else:
-                            lo, h2 = hi, wide
-                            while lo < h2 - 1:
-                                mid = (lo + h2) // 2
-                                if bs[mid] - wb_j <= x_max(ts[mid - 1]):
-                                    lo = mid
-                                else:
-                                    h2 = mid
-                            k = lo
             else:
-                if probe is not None:
-                    if bs[hi] == wb_j:
-                        # Write-free span: the capped bound still applies
-                        # (only fire padding consumes capacity), with
-                        # empty per-group candidate prefix sums.
-                        span_cums = [[] for _ in user_gids]
+                lo = j
+                while lo < hi - 1:
+                    mid = (lo + hi) // 2
+                    if bs[mid] - wb_j <= x_max(ts[mid - 1]):
+                        lo = mid
                     else:
-                        cand = probe(ex.lbas[wb_j:bs[hi]],
-                                     ex.block_ts[wb_j:bs[hi]],
-                                     store.user_seq + (wb_j - wb_chunk))
-                        if cand is not None:
-                            primary, alt = cand
-                            span_cums = []
-                            for g in user_gids:
-                                mask = primary == g
-                                mask |= alt == g
-                                span_cums.append(np.cumsum(mask).tolist())
-                if span_cums is not None \
-                        and feasible_capped(hi, span_cums, wb_j):
-                    k = hi
-                else:
-                    lo = j
-                    while lo < hi - 1:
-                        mid = (lo + hi) // 2
-                        if bs[mid] - wb_j <= x_max(ts[mid - 1]) \
-                                or (span_cums is not None
-                                    and feasible_capped(mid, span_cums,
-                                                        wb_j)):
-                            lo = mid
-                        else:
-                            hi = mid
-                    k = lo
+                        hi = mid
+                k = lo
             if k <= j:
                 if attr_on:
-                    if span_cums is not None:
-                        # Stalled while the candidate-capped bound was the
-                        # operative (tighter) constraint.
-                        cause = CAUSE_CANDIDATE
+                    # Would one more request have fit without the
+                    # worst-case fire reserve?
+                    c_cap, c_res = cap_parts(ts[j])
+                    need = bs[j + 1] - bs[j]
+                    if c_cap >= 0 and need <= c_cap \
+                            and need > c_cap - c_res:
+                        cause = CAUSE_DEADLINE_RESERVE
                     else:
-                        # Would one more request have fit without the
-                        # worst-case fire reserve?
-                        c_cap, c_res = cap_parts(ts[j])
-                        need = bs[j + 1] - bs[j]
-                        if c_cap >= 0 and need <= c_cap \
-                                and need > c_cap - c_res:
-                            cause = CAUSE_DEADLINE_RESERVE
-                        else:
-                            cause = CAUSE_GC_CAPACITY
+                        cause = CAUSE_GC_CAPACITY
                 break
             wb_k = bs[k]
             if wb_k > wb_j:
@@ -539,24 +395,18 @@ class BatchedReplayEngine:
                 if n_inc == 1 or (int(gids[n_inc - 1]) == g0
                                   and not (gids != g0).any()):
                     # Single-group increment (the common case for
-                    # few-group policies): near-O(1) bookkeeping.
-                    if is_sla[g0]:
-                        if counts[g0] > 0 \
-                                and btl[wb_j] - last_tb[g0] >= window:
-                            sites += 1
-                        if btl[wb_k - 1] - btl[wb_j] >= window:
-                            # Window-sized rests inside the increment are
-                            # fire sites too (multi-window spans only).
-                            sites += int(np.count_nonzero(
-                                np.diff(ex.block_ts[wb_j:wb_k])
-                                >= window))
+                    # few-group policies): O(1) bookkeeping.
+                    if is_sla[g0] and counts[g0] > 0 \
+                            and btl[wb_j] - last_tb[g0] >= window:
+                        sites += 1
                     counts[g0] += n_inc
                     last_tb[g0] = btl[wb_k - 1]
                 else:
                     # A group already touched in the chunk whose rest
                     # before a touch here spans a full window is promoted
-                    # to a fire site (covers gaps between increments and,
-                    # for multi-window spans, gaps inside one).
+                    # to a fire site.  Within one increment rests stay
+                    # below a window, so only a group's first touch here
+                    # can qualify.
                     b = wb_j
                     for g in gids.tolist():
                         tb = btl[b]

@@ -101,29 +101,6 @@ class PlacementPolicy:
         """
         return range(len(self.group_specs()))
 
-    def candidate_user_gids(self, lbas: np.ndarray, ts_us: np.ndarray,
-                            start_seq: int) -> tuple[np.ndarray,
-                                                     np.ndarray] | None:
-        """Predict, per block, the groups :meth:`place_user` *could* route
-        it to — before any placement happens.
-
-        Contract (see ``docs/extending.md``): called by the batched replay
-        engine under the same no-GC/no-deadline guarantee as
-        :meth:`place_user_batch`, with block ``i`` at logical clock
-        ``start_seq + i``.  Must be **pure**: no metadata writes, no
-        counters, no obs events.  Return ``None`` (the default) when
-        prediction is unavailable — the engine then sizes chunks
-        adversarially over the full :meth:`user_placement_gids` set.
-        Otherwise return ``(primary, alt)`` int64 arrays: placing any
-        prefix of the batch must route block ``i`` to ``primary[i]`` or
-        ``alt[i]`` (``alt[i] == -1`` claims the placement is exactly
-        ``primary[i]``).  The engine uses these per-block candidate sets
-        to cap how many blocks the chunk could possibly push into each
-        group, which makes chunks near the GC watermark dramatically
-        larger for multi-group policies.
-        """
-        return None
-
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,
                        now_us: int) -> np.ndarray:
         """Route one victim's GC-migrated valid blocks; one group id each.

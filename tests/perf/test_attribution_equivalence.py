@@ -13,18 +13,55 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import AttributionRecorder, invariant_view
 from repro.placement.registry import available_policies, make_policy
+from repro.trace.model import OP_READ, OP_WRITE, Trace
 from repro.validate.differential import (default_workloads,
                                          differential_config)
 
 from tests.perf.test_engine_equivalence import assert_states_equal
 
-#: ali (index 0) and tencent (index 1) differential workloads.
-_WORKLOADS = ("ali", "tencent")
+#: ali (index 0) and tencent (index 1) differential workloads, then a
+#: bursty trace whose idle rests span several SLA windows.
+_WORKLOADS = ("ali", "tencent", "idle-gaps")
+
+
+def _idle_gap_trace(window_us: int) -> Trace:
+    """Bursts of skewed small writes (and some reads) separated by idle
+    rests of 2-12 SLA windows; inside a burst, requests arrive up to about
+    half a window apart, with an occasional one-window pause.  On the
+    differential store shape every multi-group policy reaches GC and
+    fires deadlines on it, so batched chunks cross idle gaps between
+    their increments."""
+    rng = np.random.default_rng(7)
+    rows = []
+    t = 0
+    hot = rng.permutation(1024)
+    for _ in range(48):
+        for _ in range(int(rng.integers(10, 40))):
+            t += int(rng.integers(1, window_us // 2))
+            if rng.random() < 0.1:
+                t += window_us
+            size = int(rng.integers(1, 5))
+            if rng.random() < 0.7:
+                off = int(hot[int(rng.integers(0, 96))])
+            else:
+                off = int(rng.integers(0, 1024))
+            off = min(off, 1024 - size)
+            op = OP_READ if rng.random() < 0.15 else OP_WRITE
+            rows.append((t, op, off, size))
+        t += int(rng.integers(2, 13)) * window_us
+    return Trace.from_rows(rows, volume="idle-gaps")
+
+
+def _workload(idx: int):
+    if _WORKLOADS[idx] == "idle-gaps":
+        return _idle_gap_trace(differential_config().coalesce_window_us)
+    return default_workloads(num_requests=600)[idx]
 
 
 def _replay_with_attribution(policy_name: str, trace, engine: str):
@@ -45,7 +82,7 @@ def _canonical(attr: AttributionRecorder) -> str:
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_invariant_view_byte_identical_across_engines(policy_name,
                                                       workload_idx):
-    trace = default_workloads(num_requests=600)[workload_idx]
+    trace = _workload(workload_idx)
     scalar_store, scalar_attr = _replay_with_attribution(
         policy_name, trace, "scalar")
     batched_store, batched_attr = _replay_with_attribution(

@@ -10,6 +10,8 @@ triggers and deadline fires constantly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.lss.store import LogStructuredStore
@@ -18,12 +20,12 @@ from repro.validate.differential import (default_workloads,
                                          differential_config)
 
 
-def replay_pair(policy_name, trace, engine_kwargs=None):
+def replay_pair(policy_name, trace, engine_kwargs=None, config=None):
     """Replay ``trace`` scalar and batched on fresh stores; return both."""
-    cfg = differential_config()
+    cfg = config or differential_config()
     scalar = LogStructuredStore(cfg, make_policy(policy_name, cfg))
     scalar.replay(trace, engine="scalar")
-    cfg2 = differential_config()
+    cfg2 = config or differential_config()
     batched = LogStructuredStore(cfg2, make_policy(policy_name, cfg2))
     if engine_kwargs:
         from repro.perf.engine import BatchedReplayEngine
@@ -60,6 +62,22 @@ def test_batched_matches_scalar_update_heavy():
     for policy_name in ("sepgc", "adapt"):
         scalar, batched = replay_pair(policy_name, trace)
         assert_states_equal(scalar, batched)
+
+
+@pytest.mark.parametrize("config_change", [
+    {"sla_mode": "first"},
+    {"coalesce_window_us": 0},
+    {"sla_mode": "first", "coalesce_window_us": 0},
+], ids=["first", "zero-window", "first-zero-window"])
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_deadline_free_chunks_match_scalar(policy_name, config_change):
+    """``sla_mode="first"`` and a zero window take the engine's
+    deadline-free chunk path instead of the in-chunk fire prediction."""
+    cfg = dataclasses.replace(differential_config(), **config_change)
+    trace = default_workloads(num_requests=600)[0]
+    scalar, batched = replay_pair(policy_name, trace, config=cfg)
+    assert_states_equal(scalar, batched)
+    assert batched.stats.gc_blocks_written > 0
 
 
 def test_batched_engine_rejects_trace_recorder():

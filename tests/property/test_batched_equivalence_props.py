@@ -131,9 +131,9 @@ def test_distance_access_many_matches_scalar(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), ops=st.integers(1, 250))
 @settings(max_examples=50, deadline=None)
 def test_demotion_targets_match_scalar_under_mutation(seed, ops):
-    """Batched (memoized) probes must track the scalar scan across an
-    arbitrary interleaving of GC-path discriminator mutations — inserts
-    invalidate one LBA, cascade evictions invalidate everything."""
+    """Batched probes must track the scalar scan across an arbitrary
+    interleaving of GC-path discriminator mutations (inserts and cascade
+    evictions)."""
     rng = np.random.default_rng(seed)
     gids = [2, 3, 4]
 
