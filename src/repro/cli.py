@@ -234,11 +234,8 @@ def _cmd_bench(args) -> tuple[str, bool]:
     Returns the rendered report and whether the gate passed (always
     True without ``--check``).
     """
-    from repro.perf import tracecache
     from repro.perf.bench import (compare_bench, find_previous_bench,
                                   render_bench, run_bench, write_bench)
-    if args.no_trace_cache:
-        tracecache.set_enabled(False)
     if args.scale:
         scale = _get_scale(args.scale)
     else:
@@ -511,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit non-zero when any cell regresses beyond "
                         "the threshold")
-    p.add_argument("--no-trace-cache", action="store_true",
-                   help="bypass the on-disk synthetic-trace cache")
     p.add_argument("--obs", default="off", metavar="M,M",
                    help="comma-separated observability modes to bench "
                         "(off, metrics, trace; default: off). trace "

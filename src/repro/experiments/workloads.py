@@ -1,18 +1,15 @@
 """Workload construction shared by the figure drivers (fleets are cached
 per scale so figs 3, 8, 9 and 10 replay identical traces).
 
-Fleets are memoised twice: in-process (``lru_cache``, so one run's
-drivers share Trace objects) and on disk via
-:mod:`repro.perf.tracecache` (so repeated runs — the bench harness, CI —
-skip generation entirely; opt out with ``--no-trace-cache`` or
-``ADAPT_REPRO_NO_TRACE_CACHE=1``)."""
+Fleets are generated from their seed on every run and never stored on
+disk, so a replayed trace always comes from the current generator.  An
+in-process ``lru_cache`` lets one run's drivers share Trace objects."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 from repro.experiments.scale import Scale
-from repro.perf.tracecache import cached_fleet
 from repro.trace.model import Trace
 from repro.trace.synthetic.cloud import generate_fleet
 
@@ -32,13 +29,8 @@ FLEET_SEED = 20250908  # ICPP'25 presentation date
 @lru_cache(maxsize=None)
 def _fleet_cached(profile: str, num_volumes: int, blocks: int,
                   requests: int) -> tuple[Trace, ...]:
-    params = {"profile": profile, "num_volumes": num_volumes,
-              "unique_blocks": blocks, "num_requests": requests,
-              "seed": FLEET_SEED}
-    return tuple(cached_fleet(
-        "cloud.generate_fleet", params,
-        lambda: generate_fleet(profile, num_volumes, unique_blocks=blocks,
-                               num_requests=requests, seed=FLEET_SEED)))
+    return tuple(generate_fleet(profile, num_volumes, unique_blocks=blocks,
+                                num_requests=requests, seed=FLEET_SEED))
 
 
 def fleet_for(profile: str, scale: Scale) -> list[Trace]:

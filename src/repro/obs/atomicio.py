@@ -3,11 +3,10 @@
 Observability artifacts (metrics snapshots, profiler traces, timelines)
 are often written from CI jobs or long benches that may be interrupted;
 a torn half-file that parses as truncated JSON is worse than no file.
-Writers here follow the same discipline as
-:mod:`repro.perf.tracecache`: write to a temporary file in the
-destination directory, then ``os.replace`` it into place — readers see
-either the old complete file or the new complete file, never a partial
-one.  Missing parent directories are created on the way.
+Writers here write to a temporary file in the destination directory,
+then ``os.replace`` it into place — readers see either the old complete
+file or the new complete file, never a partial one.  Missing parent
+directories are created on the way.
 """
 
 from __future__ import annotations

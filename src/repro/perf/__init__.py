@@ -4,8 +4,7 @@
 block stream once (:mod:`~repro.perf.expand`), replays it in
 GC-safe/deadline-safe chunks that are bit-identical to the scalar
 per-request loop (:mod:`~repro.perf.engine`), and measures the result
-(:mod:`~repro.perf.bench`).  :mod:`~repro.perf.tracecache` caches
-synthetic traces on disk so repeated bench runs skip generation.
+(:mod:`~repro.perf.bench`).
 
 See ``docs/performance.md`` for the design and the equivalence argument.
 """

@@ -10,9 +10,9 @@ gates on.
 
 Timing methodology: each cell replays a *fresh* store ``repeats`` times
 and keeps the best wall-clock run — the quantity under test is the
-engine's cost, not the machine's scheduling noise — and the same cached
-trace objects are reused across every cell so generation never pollutes
-the measurement.
+engine's cost, not the machine's scheduling noise — and the same
+in-process trace objects are reused across every cell so generation
+never pollutes the measurement.
 
 Observability modes form a third axis (``obs_modes``): ``off`` (no
 recorder), ``metrics`` (default batch-capable :class:`ObsRecorder`), and
@@ -106,9 +106,9 @@ def run_bench(scale: Scale,
     """Run the full bench matrix; returns the snapshot dict.
 
     One volume per profile (the first of the standard experiment fleet,
-    so the trace cache is shared with the figure drivers).  ``obs_modes``
-    adds instrumented cells; ``trace`` cells only run on the scalar
-    engine (the batched engine rejects per-event tracing).
+    so the bench replays exactly the traces the figure drivers do).
+    ``obs_modes`` adds instrumented cells; ``trace`` cells only run on
+    the scalar engine (the batched engine rejects per-event tracing).
     ``attr_modes`` adds attribution-instrumented cells; ``attr=on``
     cells only run at ``obs=off`` so the two overhead axes never
     confound each other.

@@ -7,6 +7,7 @@ from repro.experiments.workloads import (
     BASELINES,
     PROFILES,
     SCHEMES,
+    _fleet_cached,
     fleet_for,
     stats_fleet_for,
 )
@@ -23,6 +24,16 @@ def test_fleet_is_cached_identity():
     # Same underlying Trace objects (the lru_cache hit), fresh lists.
     assert a is not b
     assert all(x is y for x, y in zip(a, b))
+
+
+def test_fleet_generation_writes_nothing_to_disk(tmp_path, monkeypatch):
+    """Fleets are regenerated from their seed, never stored: building one
+    from cold leaves the home and cache directories untouched."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("ADAPT_REPRO_CACHE_DIR", str(tmp_path))
+    _fleet_cached.cache_clear()
+    assert len(fleet_for("ali", SMOKE)) == SMOKE.num_volumes
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fleet_sizes_match_scale():

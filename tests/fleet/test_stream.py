@@ -1,4 +1,4 @@
-"""Streaming trace ingestion: chunked generation, files, memory bounds."""
+"""Streaming trace ingestion: chunked generation, resume, memory bounds."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.trace.model import Trace
-from repro.trace.stream import (
-    FileChunkStream,
-    MaterializedStream,
-    SyntheticVolumeStream,
-    write_chunk_file,
-)
+from repro.trace.stream import SyntheticVolumeStream
 
 
 def stream_for(requests=1000, chunk=256, volume="ali-0000", seed=3):
@@ -79,48 +74,13 @@ class TestSyntheticVolumeStream:
         assert list(s.chunks()) == []
         assert len(s.materialize()) == 0
 
-    def test_stream_is_picklable(self):
-        s = stream_for()
-        clone = pickle.loads(pickle.dumps(s))
-        assert np.array_equal(collect(clone).offsets,
-                              collect(s).offsets)
-
-
-class TestMaterializedStream:
-    def test_wraps_existing_trace(self):
-        base = stream_for(requests=500, chunk=128).materialize()
-        s = MaterializedStream(base, chunk_requests=128)
-        again = collect(s)
-        assert np.array_equal(base.offsets, again.offsets)
-        assert s.num_chunks == 4
-
     def test_out_of_range_chunk(self):
-        base = stream_for(requests=100, chunk=64).materialize()
-        s = MaterializedStream(base, chunk_requests=64)
+        s = stream_for(requests=100, chunk=64)
         with pytest.raises(IndexError):
             s.chunk(2, s.initial_state())
 
-
-class TestFileChunkStream:
-    def test_roundtrip(self, tmp_path):
-        src = stream_for(requests=700, chunk=200)
-        path = str(tmp_path / "vol.chunks.npz")
-        write_chunk_file(src, path)
-        loaded = FileChunkStream(path)
-        assert loaded.volume == src.volume
-        assert loaded.num_chunks == src.num_chunks
-        a, b = collect(src), collect(loaded)
-        assert np.array_equal(a.timestamps, b.timestamps)
-        assert np.array_equal(a.ops, b.ops)
-        assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.sizes, b.sizes)
-
-    def test_picklable_without_open_handle(self, tmp_path):
-        src = stream_for(requests=300, chunk=100)
-        path = str(tmp_path / "vol.chunks.npz")
-        write_chunk_file(src, path)
-        s = FileChunkStream(path)
-        collect(s)  # force the lazy handle open
+    def test_stream_is_picklable(self):
+        s = stream_for()
         clone = pickle.loads(pickle.dumps(s))
         assert np.array_equal(collect(clone).offsets,
                               collect(s).offsets)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.runner import store_config_for
 from repro.ftl.bridge import StreamBridge, measure_device_wa
 from repro.lss.config import LSSConfig
 from repro.lss.store import LogStructuredStore
@@ -54,3 +55,32 @@ def test_device_wa_at_least_one(small_cfg, trace):
     res = measure_device_wa("adapt", trace, small_cfg, multi_stream=True)
     assert res.device_wa >= 1.0
     assert res.end_to_end_wa >= res.host_wa
+
+
+@pytest.fixture(scope="module")
+def guard_trace():
+    return generate_ycsb_a(2048, 10_000, density=30.0, read_ratio=0.0,
+                           seed=21)
+
+
+def _bridged_replay(scheme, trace, engine):
+    cfg = store_config_for(2048)
+    store = LogStructuredStore(cfg, make_policy(scheme, cfg))
+    bridge = StreamBridge(store, multi_stream=True)
+    store.replay(trace, engine=engine)
+    return bridge.ftl
+
+
+@pytest.mark.parametrize("scheme", ["sepgc", "dac"])
+def test_flush_listeners_force_scalar_replay(scheme, guard_trace):
+    """A store with flush listeners replays on the scalar loop.  The
+    batched engine does not reproduce the scalar loop's listener calls:
+    without this guard the host page count still matches, but the device
+    WA drifts (sepgc 1.012 -> 1.004 on this input)."""
+    auto = _bridged_replay(scheme, guard_trace, "auto")
+    scalar = _bridged_replay(scheme, guard_trace, "scalar")
+    assert auto.host_pages == scalar.host_pages
+    assert auto.device_write_amplification() == \
+        scalar.device_write_amplification()
+    with pytest.raises(ValueError, match="flush listeners"):
+        _bridged_replay(scheme, guard_trace, "batched")

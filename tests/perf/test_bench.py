@@ -16,12 +16,6 @@ TINY = Scale("t", num_volumes=1, volume_blocks=4096,
              ycsb_blocks=4096, ycsb_writes=100)
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path_factory, monkeypatch):
-    monkeypatch.setenv("ADAPT_REPRO_CACHE_DIR",
-                       str(tmp_path_factory.mktemp("cache")))
-
-
 @pytest.fixture(scope="module")
 def result():
     return run_bench(TINY, policies=["sepgc", "mida"],
@@ -274,7 +268,7 @@ def test_cli_bench_smoke(tmp_path, monkeypatch):
     rc = main(["bench", "--scale", "smoke", "--policies", "sepgc",
                "--repeats", "1", "--engines", "batched",
                "--obs", "off,metrics",
-               "--out", str(tmp_path), "--no-trace-cache",
+               "--out", str(tmp_path),
                "--profile-out", str(tmp_path / "prof" / "bench.json")])
     assert rc == 0
     snaps = list(tmp_path.glob("BENCH_*.json"))
@@ -303,14 +297,13 @@ def test_cli_bench_check_gate(tmp_path):
     rc = main(["bench", "--scale", "smoke", "--policies", "sepgc",
                "--repeats", "1", "--engines", "batched",
                "--out", str(tmp_path), "--threshold", "0.5",
-               "--baseline", str(baseline), "--check",
-               "--no-trace-cache"])
+               "--baseline", str(baseline), "--check"])
     assert rc == 1
     # Without --check the same regression only reports, never fails.
     rc = main(["bench", "--scale", "smoke", "--policies", "sepgc",
                "--repeats", "1", "--engines", "batched",
                "--out", str(tmp_path), "--threshold", "0.5",
-               "--baseline", str(baseline), "--no-trace-cache"])
+               "--baseline", str(baseline)])
     assert rc == 0
 
 
