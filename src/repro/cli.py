@@ -11,10 +11,6 @@ Examples::
     adapt-repro obs --scheme adapt --no-trace --timeline-every 4096
     adapt-repro obs --scheme adapt --no-trace --attribution
     adapt-repro analyze --trace run.trace.json --attribution a.json
-    adapt-repro bench --scale default
-    adapt-repro bench --obs off,metrics --profile-out bench.trace.json
-    adapt-repro bench --fleet-workers 1,2,4 --fleet-volumes 16
-    REPRO_SCALE=smoke adapt-repro bench --check
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out --resume
 """
@@ -228,64 +224,6 @@ def _cmd_obs(args) -> str:
     return table + "\nartifacts:\n" + "\n".join(f"  {p}" for p in written)
 
 
-def _cmd_bench(args) -> tuple[str, bool]:
-    """Throughput bench + snapshot + optional regression gate.
-
-    Returns the rendered report and whether the gate passed (always
-    True without ``--check``).
-    """
-    from repro.perf.bench import (compare_bench, find_previous_bench,
-                                  render_bench, run_bench, write_bench)
-    if args.scale:
-        scale = _get_scale(args.scale)
-    else:
-        scale = scale_mod.current_scale("default")
-    policies = args.policies.split(",") if args.policies else None
-    engines = tuple(args.engines.split(","))
-    obs_modes = tuple(args.obs.split(","))
-    kwargs = {}
-    if args.workloads:
-        from repro.experiments.workloads import PROFILES
-        profiles = tuple(args.workloads.split(","))
-        unknown = [p for p in profiles if p not in PROFILES]
-        if unknown:
-            return (f"unknown workload(s) {','.join(unknown)}; "
-                    f"choose from {','.join(PROFILES)}", False)
-        kwargs["profiles"] = profiles
-    attr_modes = tuple(args.attr.split(","))
-    result = run_bench(scale, policies=policies, engines=engines,
-                       repeats=args.repeats, seed=args.seed,
-                       obs_modes=obs_modes, attr_modes=attr_modes,
-                       **kwargs)
-    if args.fleet_workers:
-        from repro.perf.bench import run_fleet_bench
-        workers = tuple(int(w) for w in args.fleet_workers.split(","))
-        result["fleet"] = run_fleet_bench(
-            scale, workers_list=workers, volumes=args.fleet_volumes,
-            seed=args.seed)
-    path = write_bench(result, args.out)
-    baseline_path = args.baseline or find_previous_bench(
-        args.out, exclude=path)
-    regressions: list | None = None
-    if baseline_path:
-        import json
-        try:
-            with open(baseline_path) as f:
-                baseline = json.load(f)
-        except (OSError, ValueError) as exc:
-            return (f"cannot read baseline {baseline_path}: {exc}",
-                    not args.check)
-        regressions = compare_bench(result, baseline,
-                                    threshold=args.threshold)
-    out = render_bench(result, regressions, baseline_path)
-    out += f"\nsnapshot written: {path}"
-    ok = not (args.check and regressions)
-    if not ok:
-        out += (f"\nBENCH FAILED: {len(regressions)} cell(s) regressed "
-                f"more than {args.threshold * 100:.0f}%")
-    return out, ok
-
-
 def _cmd_analyze(args) -> tuple[str, bool]:
     """Bottleneck explainer over profiler/attribution/timeline artifacts.
 
@@ -349,9 +287,12 @@ def _cmd_fleet(args) -> tuple[str, bool]:
         engine=args.engine, collect_metrics=args.metrics,
         timeline_every=args.timeline_every,
         collect_attribution=args.attribution, **overrides)
-    result = run_fleet(spec, workers=args.workers,
-                       checkpoint_every=args.checkpoint_every,
-                       out_dir=args.out, resume=args.resume)
+    try:
+        result = run_fleet(spec, workers=args.workers,
+                           checkpoint_every=args.checkpoint_every,
+                           out_dir=args.out, resume=args.resume)
+    except ValueError as exc:
+        return f"fleet: {exc}", False
     if not result.complete:
         done = len(result.volumes)
         out = (f"fleet run interrupted: {done}/{spec.num_volumes} "
@@ -477,55 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: batched, so the sweep also proves "
                         "engine equivalence)")
 
-    p = sub.add_parser("bench",
-                       help="measure replay throughput per policy x "
-                            "workload x engine; write BENCH_<date>.json")
-    p.add_argument("--scale", default=None,
-                   choices=["smoke", "default", "paper"],
-                   help="workload scale (default: $REPRO_SCALE or "
-                        "'default')")
-    p.add_argument("--policies", default=None, metavar="A,B,...",
-                   help="comma-separated policy names "
-                        "(default: all registered)")
-    p.add_argument("--workloads", default=None, metavar="W,W,...",
-                   help="comma-separated workload profiles to bench "
-                        "(e.g. ali,tencent; default: all profiles)")
-    p.add_argument("--engines", default="scalar,batched",
-                   metavar="E,E", help="engines to time "
-                                       "(default: scalar,batched)")
-    p.add_argument("--repeats", "--repeat", type=_positive_int, default=2,
-                   dest="repeats", metavar="N",
-                   help="replays per cell; best run is kept (default: 2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", metavar="DIR",
-                   help="snapshot directory (default: repo root)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="snapshot to diff against (default: newest "
-                        "other BENCH_*.json in --out)")
-    p.add_argument("--threshold", type=float, default=0.25,
-                   help="fractional throughput drop that counts as a "
-                        "regression (default: 0.25)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero when any cell regresses beyond "
-                        "the threshold")
-    p.add_argument("--obs", default="off", metavar="M,M",
-                   help="comma-separated observability modes to bench "
-                        "(off, metrics, trace; default: off). trace "
-                        "cells run on the scalar engine only")
-    p.add_argument("--attr", default="off", metavar="M,M",
-                   help="comma-separated attribution modes to bench "
-                        "(off, on; default: off). 'on' cells measure "
-                        "causal-attribution overhead")
-    p.add_argument("--fleet-workers", default=None, metavar="N,N",
-                   help="also bench sharded fleet replay at these worker "
-                        "counts (e.g. 1,2,4); adds a 'fleet' section to "
-                        "the snapshot")
-    p.add_argument("--fleet-volumes", type=_positive_int, default=8,
-                   metavar="N",
-                   help="fleet size for --fleet-workers cells "
-                        "(default: 8)")
-    add_profile_out(p)
-
     p = sub.add_parser("fleet",
                        help="sharded multi-process fleet replay with "
                             "streaming ingestion and checkpoint/resume")
@@ -585,8 +477,6 @@ def _dispatch(args) -> tuple[str, bool]:
         return _cmd_obs(args), True
     if args.command == "validate":
         return _cmd_validate(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "fleet":
         return _cmd_fleet(args)
     if args.command == "analyze":
@@ -598,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         print("experiments:", ", ".join(sorted(_FIGS)),
-              "+ replay, obs, analyze, validate, bench, fleet")
+              "+ replay, obs, analyze, validate, fleet")
         return 0
     profile_out = getattr(args, "profile_out", None)
     if not profile_out:

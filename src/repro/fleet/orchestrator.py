@@ -88,7 +88,8 @@ def run_fleet(spec: FleetSpec, workers: int = 1,
             chunks (0 disables; volume completions always checkpoint
             when an ``out_dir`` is set and this is > 0).
         out_dir: artifact directory (summary, run info, checkpoints,
-            optional timelines).  Required for checkpoint/resume.
+            optional timelines).  Required for checkpoint/resume and
+            for ``spec.timeline_every``.
         resume: load per-shard checkpoints from ``out_dir`` and continue.
         stop_after_chunks: per-shard graceful stop after N chunks (test
             hook; the run reports ``complete=False``).
@@ -99,6 +100,8 @@ def run_fleet(spec: FleetSpec, workers: int = 1,
         raise ValueError("checkpoint_every must be >= 0")
     if (checkpoint_every > 0 or resume) and out_dir is None:
         raise ValueError("checkpointing and resume require out_dir")
+    if spec.timeline_every and out_dir is None:
+        raise ValueError("timeline export requires out_dir")
     num_shards = workers
     if resume:
         _check_resume_geometry(out_dir, num_shards)

@@ -1,5 +1,7 @@
 """CLI entry points."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,3 +64,22 @@ def test_replay_metrics_out(capsys, tmp_path):
     assert (out_dir / "ali-000.events.jsonl").exists()
     assert (out_dir / "ali-000.timeseries.csv").exists()
     assert (out_dir / "ali-000.prom").exists()
+
+
+def test_profile_out_writes_chrome_trace(capsys, tmp_path):
+    from repro.obs.profile import NULL_PROFILER, current
+    path = tmp_path / "prof" / "run.json"
+    assert main(["replay", "--scheme", "sepgc", "--volumes", "1",
+                 "--scale", "smoke", "--profile-out", str(path)]) == 0
+    assert "profile written" in capsys.readouterr().out
+    assert path.parent.is_dir()
+    trace = json.loads(path.read_text())
+    assert any(e.get("name") == "expand" for e in trace["traceEvents"])
+    # The CLI resets the global profiler after the run.
+    assert current() is NULL_PROFILER
+
+
+def test_fleet_timeline_without_out_fails(capsys):
+    assert main(["fleet", "--volumes", "1", "--scale", "smoke",
+                 "--timeline-every", "512"]) == 1
+    assert "requires out_dir" in capsys.readouterr().out

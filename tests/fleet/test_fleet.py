@@ -220,6 +220,14 @@ def test_timeline_export(tmp_path):
     assert names == ["ali-0000.csv", "ali-0001.csv"]
 
 
+def test_timeline_export_requires_out_dir():
+    # Without an artifact directory the timelines would be recorded and
+    # then discarded; refuse instead of exiting as if they were written.
+    spec = FleetSpec(num_volumes=1, timeline_every=512)
+    with pytest.raises(ValueError, match="out_dir"):
+        run_fleet(spec, workers=1)
+
+
 @pytest.mark.slow
 def test_hard_kill_then_resume_byte_identical(tmp_path, monkeypatch):
     """A worker process dying mid-chunk (os._exit via the kill hook)
